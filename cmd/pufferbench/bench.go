@@ -126,6 +126,38 @@ func runBench(quick bool, out string, procs int) error {
 	if err != nil {
 		return err
 	}
+	// The k=3 transport rows: with three values every conditional
+	// count distribution serves two secret pairs, which the binary row
+	// above cannot show. Sizes match pufferd's fresh-data chain and tree
+	// classes (T=80, 20 nodes) in both modes.
+	kant3Chain, err := markov.NewFromRows([]float64{0.4, 0.35, 0.25}, [][]float64{
+		{0.7, 0.2, 0.1},
+		{0.15, 0.6, 0.25},
+		{0.2, 0.25, 0.55},
+	})
+	if err != nil {
+		return err
+	}
+	kant3Class, err := markov.NewSingleton(kant3Chain, 80)
+	if err != nil {
+		return err
+	}
+	tree3Nodes := make([]bayes.Node, 20)
+	tree3Nodes[0] = bayes.Node{Card: 3, CPT: []float64{0.5, 0.3, 0.2}}
+	for i := 1; i < len(tree3Nodes); i++ {
+		tree3Nodes[i] = bayes.Node{
+			Card: 3, Parents: []int{(i - 1) / 2},
+			CPT: []float64{0.7, 0.2, 0.1, 0.15, 0.6, 0.25, 0.2, 0.25, 0.55},
+		}
+	}
+	tree3Net, err := bayes.New(tree3Nodes)
+	if err != nil {
+		return err
+	}
+	tree3Sub, err := core.NewNetworkSubstrate([]*bayes.Network{tree3Net})
+	if err != nil {
+		return err
+	}
 
 	// Each case runs once with Parallelism 1 and once with 0 (all
 	// CPUs); any returned error aborts the whole run.
@@ -152,6 +184,14 @@ func runBench(quick bool, out string, procs int) error {
 		}},
 		{"KantorovichProfileSweep", func(p int) error {
 			_, err := kantorovich.Score(nil, kantClass, 1, kantorovich.Options{Parallelism: p})
+			return err
+		}},
+		{"KantorovichProfileSweepK3", func(p int) error {
+			_, err := kantorovich.Score(nil, kant3Class, 1, kantorovich.Options{Parallelism: p})
+			return err
+		}},
+		{"KantorovichTreeSweepK3", func(p int) error {
+			_, err := kantorovich.ScoreSubstrate(nil, tree3Sub, 1, kantorovich.Options{Parallelism: p})
 			return err
 		}},
 	}

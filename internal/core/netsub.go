@@ -11,8 +11,8 @@ import (
 // NetworkSubstrate adapts a class of tree/polytree Bayesian networks
 // to the Substrate interface: Θ is the network list, the positions are
 // the network's nodes, and the conditional count distributions come
-// from the exact sum-augmented message passing of bayes.CountDistGiven
-// — so the count-distribution → W∞ → noise pipeline, the ScoreCache,
+// from the exact sum-augmented message passing of bayes.CountDists —
+// so the count-distribution → W∞ → noise pipeline, the ScoreCache,
 // and the accountants all work on correlated data whose structure is a
 // polytree rather than a chain.
 type NetworkSubstrate struct {
@@ -72,51 +72,20 @@ func (s *NetworkSubstrate) Networks() []*bayes.Network { return s.nets }
 // the chain substrate: θ-major, then position 1…n, then value pairs
 // (a, b), a < b, both with positive marginal probability.
 func (s *NetworkSubstrate) SecretPairs() ([]SecretSpec, error) {
-	nSpecs := 0
-	for ti := range s.nets {
-		marg := s.margs[ti]
-		for i := 1; i <= s.n; i++ {
-			for a := 0; a < s.k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				for b := a + 1; b < s.k; b++ {
-					if marg[i-1][b] > 0 {
-						nSpecs++
-					}
-				}
-			}
-		}
-	}
-	specs := make([]SecretSpec, 0, nSpecs)
-	for ti := range s.nets {
-		marg := s.margs[ti]
-		for i := 1; i <= s.n; i++ {
-			for a := 0; a < s.k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				for b := a + 1; b < s.k; b++ {
-					if marg[i-1][b] <= 0 {
-						continue
-					}
-					specs = append(specs, SecretSpec{Theta: ti, Pos: i, A: a, B: b})
-				}
-			}
-		}
-	}
-	return specs, nil
+	return secretPairs(s.margs, s.k), nil
 }
 
-// CountDistGiven implements Substrate by the network's sum-augmented
-// message passing, translating the substrate's 1-based position (0 =
-// unconditioned) to the network's 0-based node index (−1 =
+// CountDists implements Substrate by the networks' sum-augmented
+// message passing (bayes.CountDists): one pass per (θ, node), which
+// yields every value's distribution at once. The substrate's 1-based
+// positions (0 = unconditioned) become 0-based node indices (−1 =
 // unconditioned).
-func (s *NetworkSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
-	if theta < 0 || theta >= len(s.nets) {
-		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.nets))
+func (s *NetworkSubstrate) CountDists(w []int, queries []CountQuery, parallelism int) ([]dist.Discrete, error) {
+	bq := make([]bayes.CountQuery, len(queries))
+	for i, q := range queries {
+		bq[i] = bayes.CountQuery{Net: q.Theta, Cond: q.Pos - 1, State: q.Val}
 	}
-	return s.nets[theta].CountDistGiven(w, pos-1, val)
+	return bayes.CountDists(s.nets, w, bq, parallelism)
 }
 
 // WriteFingerprint implements Substrate: the shared cardinality, the

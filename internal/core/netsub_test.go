@@ -52,28 +52,30 @@ func TestNetworkSubstrateMatchesChain(t *testing.T) {
 	}
 
 	w := []int{0, 1}
-	for pos := 0; pos <= T; pos++ {
+	queries := []CountQuery{{Theta: 0, Pos: 0, Val: 0}}
+	for pos := 1; pos <= T; pos++ {
 		for val := 0; val < 2; val++ {
-			if pos == 0 && val > 0 {
-				continue
-			}
-			dc, err := cs.CountDistGiven(0, w, pos, val)
-			if err != nil {
-				t.Fatalf("chain pos=%d val=%d: %v", pos, val, err)
-			}
-			dn, err := ns.CountDistGiven(0, w, pos, val)
-			if err != nil {
-				t.Fatalf("network pos=%d val=%d: %v", pos, val, err)
-			}
-			if dc.Len() != dn.Len() {
-				t.Fatalf("pos=%d val=%d: %d vs %d atoms", pos, val, dn.Len(), dc.Len())
-			}
-			for i := 0; i < dc.Len(); i++ {
-				xc, pc := dc.Atom(i)
-				xn, pn := dn.Atom(i)
-				if xc != xn || math.Abs(pc-pn) > 1e-12 {
-					t.Errorf("pos=%d val=%d atom %d: network (%v, %v) vs chain (%v, %v)", pos, val, i, xn, pn, xc, pc)
-				}
+			queries = append(queries, CountQuery{Theta: 0, Pos: pos, Val: val})
+		}
+	}
+	dcs, err := cs.CountDists(w, queries, 1)
+	if err != nil {
+		t.Fatalf("chain: %v", err)
+	}
+	dns, err := ns.CountDists(w, queries, 1)
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	for qi, q := range queries {
+		dc, dn := dcs[qi], dns[qi]
+		if dc.Len() != dn.Len() {
+			t.Fatalf("pos=%d val=%d: %d vs %d atoms", q.Pos, q.Val, dn.Len(), dc.Len())
+		}
+		for i := 0; i < dc.Len(); i++ {
+			xc, pc := dc.Atom(i)
+			xn, pn := dn.Atom(i)
+			if xc != xn || math.Abs(pc-pn) > 1e-12 {
+				t.Errorf("pos=%d val=%d atom %d: network (%v, %v) vs chain (%v, %v)", q.Pos, q.Val, i, xn, pn, xc, pc)
 			}
 		}
 	}

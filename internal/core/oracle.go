@@ -20,8 +20,8 @@ type ChainCountInstance struct {
 	// W are per-state integer weights; the indicator of a state makes
 	// F that state's occupancy count.
 	W []int
-	// Parallelism bounds the worker count of the conditional-DP fan:
-	// 0 uses every CPU, 1 runs strictly serial. The pair list is
+	// Parallelism bounds the worker count of the batched conditional
+	// DPs: 0 uses every CPU, 1 runs strictly serial. The pair list is
 	// identical (same order, same distributions) at every setting.
 	Parallelism int
 }

@@ -6,7 +6,6 @@ import (
 
 	"pufferfish/internal/dist"
 	"pufferfish/internal/markov"
-	"pufferfish/internal/sched"
 )
 
 // Substrate kind tags. The tag domain-separates fingerprints: a chain
@@ -45,12 +44,17 @@ type Substrate interface {
 	// part of the contract: sweeps keep first maximizers, so it
 	// determines which pair a diagnostic label names.
 	SecretPairs() ([]SecretSpec, error)
-	// CountDistGiven returns the exact conditional distribution of
-	// F(X) = Σ_pos w[X_pos] given X_pos = val under distribution
-	// theta (an index into the substrate's Θ). pos is 1-based; pos = 0
-	// means no conditioning. It errors when the conditioning event has
-	// probability zero.
-	CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error)
+	// CountDists returns the exact conditional distribution of
+	// F(X) = Σ_pos w[X_pos] for every query: dists[i] is F's law given
+	// X_Pos = Val under distribution Theta (an index into the
+	// substrate's Θ), for queries[i]. Pos is 1-based; 0 means no
+	// conditioning. One call serves a whole batch, so the work its
+	// queries share is done once, and the rest fans over parallelism
+	// workers (0 = every CPU, 1 = serial) with identical results at
+	// every setting. The error, if any, is the first failing query's
+	// in slice order; a zero-probability conditioning event is an
+	// error.
+	CountDists(w []int, queries []CountQuery, parallelism int) ([]dist.Discrete, error)
 	// WriteFingerprint streams the substrate's canonical fingerprint
 	// bytes — everything scores depend on besides (ε, options) — into
 	// w. Implementations must not write the kind tag;
@@ -63,6 +67,43 @@ type Substrate interface {
 // B (A < B), both with positive marginal probability.
 type SecretSpec struct {
 	Theta, Pos, A, B int
+}
+
+// CountQuery names one conditional count distribution of a substrate:
+// F(X) given X_Pos = Val under the Theta-th distribution (Pos 1-based;
+// 0 means no conditioning).
+type CountQuery struct {
+	Theta, Pos, Val int
+}
+
+// secretPairs enumerates the admissible secret pairs of a substrate
+// from its node marginals, margs[θ][pos−1][value], in the canonical
+// order every substrate shares: θ-major, then position, then value
+// pairs (a, b), a < b, both with positive probability. The first of
+// two passes over the (cheap) admissibility checks counts, so the
+// list is allocated exactly once.
+func secretPairs(margs [][][]float64, k int) []SecretSpec {
+	visit := func(emit func(SecretSpec)) {
+		for ti, marg := range margs {
+			for i, m := range marg {
+				for a := 0; a < k; a++ {
+					if m[a] <= 0 {
+						continue
+					}
+					for b := a + 1; b < k; b++ {
+						if m[b] > 0 {
+							emit(SecretSpec{Theta: ti, Pos: i + 1, A: a, B: b})
+						}
+					}
+				}
+			}
+		}
+	}
+	n := 0
+	visit(func(SecretSpec) { n++ })
+	specs := make([]SecretSpec, 0, n)
+	visit(func(sp SecretSpec) { specs = append(specs, sp) })
+	return specs
 }
 
 // label renders the pair's diagnostic label ("X3: 0 vs 1 @ θ2", θ
@@ -84,26 +125,29 @@ func (sp SecretSpec) label() string {
 
 // CountInstance is the generic WassersteinInstance of a substrate: it
 // makes Algorithm 1 (and the Kantorovich cell profiles) runnable on
-// anything implementing Substrate, with the same enumeration order,
-// labels, and parallel fan as the historical chain-only path — scores
-// through it are bit-identical to the pre-Substrate pipeline.
+// anything implementing Substrate, with the same enumeration order and
+// labels as the historical chain-only path — scores through it are
+// bit-identical to the pre-Substrate pipeline.
 type CountInstance struct {
 	Substrate Substrate
 	// W are per-value integer weights; the indicator of a value makes
 	// F that value's occupancy count.
 	W []int
-	// Parallelism bounds the worker count of the conditional-
-	// distribution fan: 0 uses every CPU, 1 runs strictly serial. The
-	// pair list is identical (same order, same distributions) at every
-	// setting.
+	// Parallelism bounds the worker count of the substrate's batched
+	// conditional distributions: 0 uses every CPU, 1 runs strictly
+	// serial. The pair list is identical (same order, same
+	// distributions) at every setting.
 	Parallelism int
 }
 
 // ConditionalPairs implements WassersteinInstance. Secret values with
 // zero probability are skipped per Definition 2.1 (the substrate's
-// SecretPairs contract); the O(expensive) conditional distribution
-// computations — the dominant cost — fan across the pool, each job
-// writing its own slot, so the resulting list is deterministic.
+// SecretPairs contract). With k values, each (θ, position, value)
+// conditional serves up to k−1 pairs; the distinct ones — the
+// dominant cost — are computed once, in one batched CountDists call,
+// and the pairs share them in spec order. The queries are listed in
+// first-use order, so the first failing one is the one a pair-by-pair
+// sweep would have met first.
 func (c CountInstance) ConditionalPairs() ([]DistributionPair, error) {
 	if len(c.W) != c.Substrate.K() {
 		return nil, fmt.Errorf("core: weight vector has length %d, want %d", len(c.W), c.Substrate.K())
@@ -112,26 +156,28 @@ func (c CountInstance) ConditionalPairs() ([]DistributionPair, error) {
 	if err != nil {
 		return nil, err
 	}
+	var queries []CountQuery
+	index := make(map[CountQuery]int)
+	ref := make([]int, 2*len(specs)) // spec j's µ and ν, as query indices
+	for j, sp := range specs {
+		for h, val := range [2]int{sp.A, sp.B} {
+			q := CountQuery{Theta: sp.Theta, Pos: sp.Pos, Val: val}
+			i, ok := index[q]
+			if !ok {
+				i = len(queries)
+				index[q] = i
+				queries = append(queries, q)
+			}
+			ref[2*j+h] = i
+		}
+	}
+	dists, err := c.Substrate.CountDists(c.W, queries, c.Parallelism)
+	if err != nil {
+		return nil, err
+	}
 	pairs := make([]DistributionPair, len(specs))
-	errs := make([]error, len(specs))
-	sched.New(c.Parallelism).ForEach(len(specs), func(j int) {
-		sp := specs[j]
-		mu, err := c.Substrate.CountDistGiven(sp.Theta, c.W, sp.Pos, sp.A)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		nu, err := c.Substrate.CountDistGiven(sp.Theta, c.W, sp.Pos, sp.B)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		pairs[j] = DistributionPair{Mu: mu, Nu: nu, Label: sp.label()}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for j, sp := range specs {
+		pairs[j] = DistributionPair{Mu: dists[ref[2*j]], Nu: dists[ref[2*j+1]], Label: sp.label()}
 	}
 	return pairs, nil
 }
@@ -163,57 +209,24 @@ func (s *ClassSubstrate) Len() int { return s.class.T() }
 func (s *ClassSubstrate) Class() markov.Class { return s.class }
 
 // SecretPairs implements Substrate: all (θ, node, a, b) with both
-// marginals positive, enumerated θ-major in Chains() order. Two passes
-// over the (cheap) marginal admissibility checks: the first counts so
-// the spec list is allocated exactly once.
+// marginals positive, enumerated θ-major in Chains() order.
 func (s *ClassSubstrate) SecretPairs() ([]SecretSpec, error) {
-	T := s.class.T()
-	k := s.class.K()
 	margs := make([][][]float64, len(s.chains))
-	nSpecs := 0
 	for ti, theta := range s.chains {
-		marg := theta.Marginals(T)
-		margs[ti] = marg
-		for i := 1; i <= T; i++ {
-			for a := 0; a < k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				for b := a + 1; b < k; b++ {
-					if marg[i-1][b] > 0 {
-						nSpecs++
-					}
-				}
-			}
-		}
+		margs[ti] = theta.Marginals(s.class.T())
 	}
-	specs := make([]SecretSpec, 0, nSpecs)
-	for ti := range s.chains {
-		marg := margs[ti]
-		for i := 1; i <= T; i++ {
-			for a := 0; a < k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				for b := a + 1; b < k; b++ {
-					if marg[i-1][b] <= 0 {
-						continue
-					}
-					specs = append(specs, SecretSpec{Theta: ti, Pos: i, A: a, B: b})
-				}
-			}
-		}
-	}
-	return specs, nil
+	return secretPairs(margs, s.class.K()), nil
 }
 
-// CountDistGiven implements Substrate via the chain's forward dynamic
-// program.
-func (s *ClassSubstrate) CountDistGiven(theta int, w []int, pos, val int) (dist.Discrete, error) {
-	if theta < 0 || theta >= len(s.chains) {
-		return dist.Discrete{}, fmt.Errorf("core: θ index %d outside [0,%d)", theta, len(s.chains))
+// CountDists implements Substrate by the chains' shared-prefix forward
+// dynamic programs (markov.CountDists): per chain, one unconditioned
+// prefix, and each conditional program run from its own position.
+func (s *ClassSubstrate) CountDists(w []int, queries []CountQuery, parallelism int) ([]dist.Discrete, error) {
+	mq := make([]markov.CountQuery, len(queries))
+	for i, q := range queries {
+		mq[i] = markov.CountQuery{Chain: q.Theta, Cond: q.Pos, State: q.Val}
 	}
-	return s.chains[theta].CountDistGiven(s.class.T(), w, pos, val)
+	return markov.CountDists(s.chains, s.class.T(), w, mq, parallelism)
 }
 
 // WriteFingerprint implements Substrate: the chain length T, the state

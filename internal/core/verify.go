@@ -19,10 +19,11 @@ import (
 //
 // must have a log-ratio within [−ε − slack, ε + slack].
 //
-// It computes the conditional distributions of F exactly (dynamic
-// programming, no Monte-Carlo), so it is a genuine end-to-end check of
-// Theorems 3.2/4.3 for the scales the mechanisms choose. Intended for
-// tests on small chains: cost is O(T²k²) per (θ, i).
+// It computes the conditional distributions of F exactly (the batched
+// dynamic programs of the chain substrate, no Monte-Carlo), so it is a
+// genuine end-to-end check of Theorems 3.2/4.3 for the scales the
+// mechanisms choose. Intended for tests on small chains: cost is
+// O(T²k²) per (θ, i).
 func VerifyChainPufferfish(class markov.Class, w []int, scale, eps, slack float64, grid []float64) error {
 	if err := checkEpsilon(eps); err != nil {
 		return err
@@ -30,46 +31,42 @@ func VerifyChainPufferfish(class markov.Class, w []int, scale, eps, slack float6
 	if scale <= 0 {
 		return fmt.Errorf("core: invalid noise scale %v", scale)
 	}
-	T := class.T()
-	k := class.K()
+	specs, pairs, err := chainSecretPairs(class, w)
+	if err != nil {
+		return err
+	}
+	return verifyPairs(specs, pairs, scale, eps, slack, grid)
+}
+
+// chainSecretPairs returns a chain class's secret pairs and their
+// conditional count distributions, aligned.
+func chainSecretPairs(class markov.Class, w []int) ([]SecretSpec, []DistributionPair, error) {
+	sub := NewClassSubstrate(class)
+	specs, err := sub.SecretPairs()
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, err := CountInstance{Substrate: sub, W: w}.ConditionalPairs()
+	return specs, pairs, err
+}
+
+// verifyPairs is the grid check of VerifyChainPufferfish over
+// precomputed pairs, reporting the first violation in spec order.
+func verifyPairs(specs []SecretSpec, pairs []DistributionPair, scale, eps, slack float64, grid []float64) error {
 	noise := laplace.New(scale)
-	for ti, theta := range class.Chains() {
-		marg := theta.Marginals(T)
-		for i := 1; i <= T; i++ {
-			// Conditional distributions of F for each admissible value.
-			conds := make([]dist.Discrete, k)
-			admissible := make([]bool, k)
-			for a := 0; a < k; a++ {
-				if marg[i-1][a] <= 0 {
-					continue
-				}
-				d, err := theta.CountDistGiven(T, w, i, a)
-				if err != nil {
-					return err
-				}
-				conds[a] = d
-				admissible[a] = true
+	for j, sp := range specs {
+		for _, out := range grid {
+			pa := releaseDensity(pairs[j].Mu, noise, out)
+			pb := releaseDensity(pairs[j].Nu, noise, out)
+			//privlint:allow floatcompare exact-zero densities on both sides make the ratio vacuous
+			if pa == 0 && pb == 0 {
+				continue
 			}
-			for a := 0; a < k; a++ {
-				for b := a + 1; b < k; b++ {
-					if !admissible[a] || !admissible[b] {
-						continue
-					}
-					for _, out := range grid {
-						pa := releaseDensity(conds[a], noise, out)
-						pb := releaseDensity(conds[b], noise, out)
-						//privlint:allow floatcompare exact-zero densities on both sides make the ratio vacuous
-						if pa == 0 && pb == 0 {
-							continue
-						}
-						logRatio := math.Log(pa / pb)
-						if math.Abs(logRatio) > eps+slack {
-							return fmt.Errorf(
-								"core: privacy violated: θ_%d, node %d, pair (%d,%d), output %.3f: |log ratio| = %.4f > ε = %.4f",
-								ti, i, a, b, out, math.Abs(logRatio), eps)
-						}
-					}
-				}
+			logRatio := math.Log(pa / pb)
+			if math.Abs(logRatio) > eps+slack {
+				return fmt.Errorf(
+					"core: privacy violated: θ_%d, node %d, pair (%d,%d), output %.3f: |log ratio| = %.4f > ε = %.4f",
+					sp.Theta, sp.Pos, sp.A, sp.B, out, math.Abs(logRatio), eps)
 			}
 		}
 	}
@@ -91,15 +88,23 @@ func releaseDensity(d dist.Discrete, noise laplace.Dist, out float64) float64 {
 // scale that passes VerifyChainPufferfish on the grid — used by tests
 // to confirm the mechanisms are not wildly over- or under-noising
 // relative to the information-theoretic requirement on small
-// instances.
+// instances. The conditional distributions are computed once and
+// reused by every probe.
 func MinimalPrivateScale(class markov.Class, w []int, eps float64, grid []float64) (float64, error) {
+	if err := checkEpsilon(eps); err != nil {
+		return 0, err
+	}
+	specs, pairs, err := chainSecretPairs(class, w)
+	if err != nil {
+		return 0, err
+	}
 	lo, hi := 1e-3, 1e6
-	if err := VerifyChainPufferfish(class, w, hi, eps, 1e-9, grid); err != nil {
+	if err := verifyPairs(specs, pairs, hi, eps, 1e-9, grid); err != nil {
 		return 0, fmt.Errorf("core: even scale %v is not private: %w", hi, err)
 	}
 	for iter := 0; iter < 60; iter++ {
 		mid := math.Sqrt(lo * hi)
-		if VerifyChainPufferfish(class, w, mid, eps, 1e-9, grid) == nil {
+		if verifyPairs(specs, pairs, mid, eps, 1e-9, grid) == nil {
 			hi = mid
 		} else {
 			lo = mid

@@ -36,7 +36,13 @@
 // # Engine integration
 //
 // A release invokes the pair sweep once per cell per distinct session
-// length, so the per-pair dynamic programs fan across the sched pool
+// length. Each sweep asks the substrate, in one batched call, for every
+// distinct conditional count distribution its secret pairs need: with
+// k values each (θ, position, value) distribution serves k−1 pairs but
+// is computed once. A chain shares the unconditioned prefix of its
+// forward dynamic program, so a cell costs k·T suffix programs instead
+// of k(k−1)·T full ones; a polytree runs one message pass per node.
+// The batch and the distance sweeps fan across the sched pool
 // (bit-identical at every parallelism, like every scorer in this
 // repository), and finished profiles are memoized in the shared
 // core.ScoreCache keyed by (class fingerprint, cell) — profiles are
@@ -58,9 +64,10 @@ import (
 
 // Options tunes the profile sweeps.
 type Options struct {
-	// Parallelism bounds the worker count of the per-pair dynamic
-	// programs and distance sweeps: 0 uses every CPU, 1 runs strictly
-	// serial. Profiles and scores are bit-identical at every setting.
+	// Parallelism bounds the worker count of the batched conditional
+	// distributions and the distance sweeps: 0 uses every CPU, 1 runs
+	// strictly serial. Profiles and scores are bit-identical at every
+	// setting.
 	Parallelism int
 }
 

@@ -3,6 +3,8 @@ package markov
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +113,99 @@ func TestCountDistNegativeWeights(t *testing.T) {
 	}
 	if !floats.Eq(floats.Sum(d.Masses()), 1, 1e-9) {
 		t.Error("masses do not sum to one")
+	}
+}
+
+// TestCountDistOneSignedWeights: weights that do not straddle zero
+// (all positive, all negative) give the exact distribution of N,
+// unconditioned and given every node value, against brute-force
+// enumeration of all 2^T paths. Partial sums used to be stored at the
+// final sum's offset, which indexed outside the table for such weights.
+func TestCountDistOneSignedWeights(t *testing.T) {
+	c := BinaryChain(0.3, 0.8, 0.6)
+	const T = 5
+	for _, w := range [][]int{{1, 2}, {-1, -2}, {2, 3}} {
+		for cond := 0; cond <= T; cond++ {
+			for state := 0; state < 2; state++ {
+				if cond == 0 && state > 0 {
+					continue
+				}
+				want := map[float64]float64{}
+				var total float64
+				for path := 0; path < 1<<T; path++ {
+					x := func(t int) int { return path >> (t - 1) & 1 }
+					if cond > 0 && x(cond) != state {
+						continue
+					}
+					p := c.Init[x(1)]
+					n := w[x(1)]
+					for t := 2; t <= T; t++ {
+						p *= c.P.At(x(t-1), x(t))
+						n += w[x(t)]
+					}
+					want[float64(n)] += p
+					total += p
+				}
+				d, err := c.CountDistGiven(T, w, cond, state)
+				if err != nil {
+					t.Fatalf("w=%v X_%d=%d: %v", w, cond, state, err)
+				}
+				if d.Len() != len(want) {
+					t.Errorf("w=%v X_%d=%d: support %v, want %d points", w, cond, state, d.Support(), len(want))
+				}
+				for i := 0; i < d.Len(); i++ {
+					n, p := d.Atom(i)
+					if !floats.Eq(p, want[n]/total, 1e-12) {
+						t.Errorf("w=%v X_%d=%d: P(N=%v) = %v, want %v", w, cond, state, n, p, want[n]/total)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountDistsBatch: a batch in arbitrary order — two chains
+// interleaved, duplicates, unconditioned queries — answers every query
+// exactly as the one-query program does, at every parallelism, and
+// reports the first failing query's error in slice order.
+func TestCountDistsBatch(t *testing.T) {
+	chains := []Chain{theta1(), theta2()}
+	const T = 9
+	w := []int{-1, 2}
+	rng := rand.New(rand.NewPCG(5, 6))
+	queries := make([]CountQuery, 40)
+	for i := range queries {
+		queries[i] = CountQuery{Chain: rng.IntN(2), Cond: rng.IntN(T + 1), State: rng.IntN(2)}
+		if queries[i].Chain == 0 && queries[i].Cond == 1 {
+			queries[i].State = 0 // theta1 starts in state 0 surely
+		}
+	}
+	queries[7] = queries[3]
+	for _, par := range []int{1, 0, 3} {
+		got, err := CountDists(chains, T, w, queries, par)
+		if err != nil {
+			t.Fatalf("p=%d: %v", par, err)
+		}
+		for i, q := range queries {
+			want, err := chains[q.Chain].CountDistGiven(T, w, q.Cond, q.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i].Len() != want.Len() {
+				t.Fatalf("p=%d query %d %+v: %d atoms, want %d", par, i, q, got[i].Len(), want.Len())
+			}
+			for a := 0; a < want.Len(); a++ {
+				gx, gp := got[i].Atom(a)
+				wx, wp := want.Atom(a)
+				if math.Float64bits(gx) != math.Float64bits(wx) || math.Float64bits(gp) != math.Float64bits(wp) {
+					t.Fatalf("p=%d query %d %+v atom %d: (%v, %v), want (%v, %v)", par, i, q, a, gx, gp, wx, wp)
+				}
+			}
+		}
+		bad := append(slices.Clone(queries), CountQuery{Chain: 0, Cond: 1, State: 1}, CountQuery{Chain: 1, Cond: T + 1})
+		if _, err := CountDists(chains, T, w, bad, par); err == nil || !strings.Contains(err.Error(), "probability zero") {
+			t.Errorf("p=%d: error %v, want the zero-probability query's", par, err)
+		}
 	}
 }
 

@@ -344,6 +344,11 @@ func SubstrateFingerprint(s Substrate) Fingerprint { return core.SubstrateFinger
 // the count query F = Σ W[X_pos].
 type CountInstance = core.CountInstance
 
+// CountQuery names one conditional count distribution for
+// Substrate.CountDists: F given X_Pos = Val under the Theta-th
+// distribution.
+type CountQuery = core.CountQuery
+
 // KantorovichScoreSubstrate is KantorovichScore for any Substrate —
 // the entry point that releases Bayesian-network secrets through the
 // same transport pipeline and cache as chains.
