@@ -121,6 +121,23 @@ func runBench(quick bool, out string, procs int) error {
 	if err != nil {
 		return err
 	}
+	// The fresh-data shape of pufferd's k=51 class: eight distinct
+	// fitted T=500 models (same size in both modes), each scored cold.
+	freshRng := rand.New(rand.NewPCG(43, 44))
+	freshK51 := make([]markov.Class, 8)
+	for i := range freshK51 {
+		series, err := power.DefaultHouse().Simulate(500, freshRng)
+		if err != nil {
+			return err
+		}
+		chain, err := power.EmpiricalChain(series, 0.5)
+		if err != nil {
+			return err
+		}
+		if freshK51[i], err = markov.NewSingleton(chain, 500); err != nil {
+			return err
+		}
+	}
 
 	kantClass, err := markov.NewFinite([]markov.Chain{markov.BinaryChain(0.5, 0.85, 0.8)}, kantT)
 	if err != nil {
@@ -181,6 +198,14 @@ func runBench(quick bool, out string, procs int) error {
 		{"ExactScorePower51", func(p int) error {
 			_, err := core.ExactScore(powClass, 1, core.ExactOptions{Parallelism: p})
 			return err
+		}},
+		{"ExactScoreFreshK51", func(p int) error {
+			for _, class := range freshK51 {
+				if _, err := core.ExactScore(class, 1, core.ExactOptions{Parallelism: p}); err != nil {
+					return err
+				}
+			}
+			return nil
 		}},
 		{"KantorovichProfileSweep", func(p int) error {
 			_, err := kantorovich.Score(nil, kantClass, 1, kantorovich.Options{Parallelism: p})

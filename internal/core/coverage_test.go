@@ -185,7 +185,7 @@ func TestTerm1AllInitsFirstNode(t *testing.T) {
 	// Under Appendix C.4 (all initial distributions), node 1's
 	// marginal is the free q itself: the supremum is +Inf.
 	chain := markov.BinaryChain(0.5, 0.8, 0.7)
-	sc := newExactScorer(chain, 5, 2, 4, true, sched.New(1), newPowerCacheSet())
+	sc := newExactScorer(chain, 5, 2, 4, true, sched.New(1), newMatrixTables(chain.P))
 	v, ok := sc.term1(1, 0, 1)
 	if !ok || !math.IsInf(v, 1) {
 		t.Errorf("term1 = %v ok=%v, want +Inf true", v, ok)

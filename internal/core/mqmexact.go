@@ -8,6 +8,7 @@ import (
 
 	"pufferfish/internal/floats"
 	"pufferfish/internal/markov"
+	"pufferfish/internal/matrix"
 	"pufferfish/internal/query"
 	"pufferfish/internal/sched"
 )
@@ -140,16 +141,18 @@ func exactScoreTheta(theta markov.Chain, T, ell int, eps float64, allInits, forc
 	if maxPow > T-1 {
 		maxPow = T - 1
 	}
-	sc := newExactScorer(theta, T, k, maxPow, allInits, pool, pcs)
-
+	// One table-set lookup per θ: the shortcut and the full sweep share
+	// the matrix's tables.
+	tab := pcs.tables(theta.P)
 	if stationary {
-		score, ok := sc.stationaryShortcut(ell, eps)
+		score, ok := stationaryShortcut(tab, theta, T, maxPow, ell, eps, pool)
 		if ok {
 			return score, nil
 		}
 		// Fall through to the full sweep when the middle node's active
 		// quilt is not an interior two-sided quilt.
 	}
+	sc := newExactScorer(theta, T, k, maxPow, allInits, pool, tab)
 
 	// The per-node scores only read the scorer's tables, so the sweep
 	// fans across contiguous node chunks; the chunk-ordered first-max
@@ -186,6 +189,13 @@ func maxChainScore(acc, v ChainScore) ChainScore {
 // (log p − log q instead of log(p/q)) from an element-wise log table of
 // each power — O(k²) transcendentals per power instead of O(k³).
 //
+// A scorer may hold fewer rows than ℓ and fewer marginals than T: the
+// node sweep only reads rows it holds (a quilt reading row r, the
+// r-th power, has card ≥ r and is skipped past len(fwd)), and
+// stationaryShortcut only reads the middle node's marginal. The full
+// node sweep and the Appendix C.4 path hold every row up to maxPow and
+// every marginal (newExactScorer).
+//
 // Error bound for the log-domain kernel: for finite entries both
 // evaluations round the same real number log(p/q) with |p, q| > 0, and
 //
@@ -215,21 +225,27 @@ type exactScorer struct {
 	marg           [][]float64 // node marginals (1-based node i → marg[i−1])
 }
 
-func newExactScorer(theta markov.Chain, T, k, maxPow int, allInits bool, pool sched.Pool, pcs *powerCacheSet) *exactScorer {
+// newExactScorer returns the eager scorer the full node sweep runs on:
+// influence rows up to maxPow and, unless allInits, all T marginals.
+// Derived tables come from the shared per-matrix set, so θ with equal
+// transition matrices (within a class, across a batch, or across
+// releases through a persistent ScoreCache) build each power row once;
+// scoring T+1 after T only computes the new rows.
+func newExactScorer(theta markov.Chain, T, k, maxPow int, allInits bool, pool sched.Pool, tab *matrixTables) *exactScorer {
 	sc := &exactScorer{T: T, k: k, allInits: allInits}
-	// Derived tables come from the shared per-matrix set, so θ with
-	// equal transition matrices (within a class, across a batch, or
-	// across releases through a persistent ScoreCache) build each power
-	// row once; scoring T+1 after T only computes the new rows. The
-	// power recurrence itself is sequential; the per-power row builds
-	// fan across the pool.
-	tab := pcs.tables(theta.P)
-	tab.ic.Grow(maxPow, pool)
-	sc.fwd, sc.bwd, sc.fwdArg, sc.bwdArg = tab.ic.Tables(maxPow)
+	sc.useRows(tab.ic, maxPow, pool)
 	if !allInits {
 		sc.marg = tab.marginals(theta, T)
 	}
 	return sc
+}
+
+// useRows points the scorer at the first n influence rows, building
+// the missing ones. The power recurrence itself is sequential; the
+// per-power row builds fan across the pool.
+func (sc *exactScorer) useRows(ic *matrix.InfluenceCache, n int, pool sched.Pool) {
+	ic.Grow(n, pool)
+	sc.fwd, sc.bwd, sc.fwdArg, sc.bwdArg = ic.Tables(n)
 }
 
 // logRatio returns log(p/q) with the conventions of max-influence
@@ -519,10 +535,11 @@ func (sc *exactScorer) nodeScore(i, ell int, eps float64) (float64, ChainQuilt, 
 	bestSigma := quiltScore(T, 0, eps)
 	bestQuilt := ChainQuilt{}
 	bestInfl := 0.0
-	// a is clamped to the table length min(ℓ, T−1): a left-only quilt
-	// needs card = T−i+a ≤ ℓ (so a ≤ ℓ − (T−i) ≤ ℓ) and a two-sided one
-	// a+b−1 ≤ ℓ, so no quilt with a longer left arm can fit — the old
-	// exhaustive loop merely spun past them without evaluating.
+	// a and b are clamped to the rows held. With all min(ℓ, T−1) rows
+	// that drops nothing: a left-only quilt needs card = T−i+a ≤ ℓ (so
+	// a ≤ ℓ − (T−i) ≤ ℓ) and a two-sided one a+b−1 ≤ ℓ, so no quilt with
+	// a longer arm can fit. With fewer rows, the quilts dropped are the
+	// ones stationaryShortcut's stop rule proves cannot win.
 	for a := 1; a <= i-1 && a <= len(sc.bwd); a++ {
 		// Both remaining card floors grow with a: once neither the
 		// left-only card (T−i+a) nor the smallest two-sided card (a, at
@@ -544,7 +561,7 @@ func (sc *exactScorer) nodeScore(i, ell int, eps float64) (float64, ChainQuilt, 
 				}
 			}
 		}
-		for b := 1; b <= T-i && a+b-1 <= ell; b++ {
+		for b := 1; b <= T-i && b <= len(sc.fwd) && a+b-1 <= ell; b++ {
 			card := a + b - 1
 			if float64(card)/eps >= bestSigma {
 				break // card grows with b
@@ -568,7 +585,7 @@ func (sc *exactScorer) nodeScore(i, ell int, eps float64) (float64, ChainQuilt, 
 			break // neither one-sided nor two-sided can fit anymore
 		}
 	}
-	for b := 1; b <= T-i && i+b-1 <= ell; b++ {
+	for b := 1; b <= T-i && b <= len(sc.fwd) && i+b-1 <= ell; b++ {
 		card := i + b - 1
 		if float64(card)/eps >= bestSigma {
 			break // card grows with b
@@ -592,16 +609,40 @@ func (sc *exactScorer) nodeScore(i, ell int, eps float64) (float64, ChainQuilt, 
 	return bestSigma, bestQuilt, bestInfl
 }
 
+// shortcutRows is the row count stationaryShortcut first scores the
+// middle node with (or the rows already resident, if more).
+const shortcutRows = 16
+
 // stationaryShortcut exploits the Section 4.4.1 observation: with the
 // initial distribution stationary, the max-influence of a two-sided
 // quilt depends only on (a, b), so the Lemma C.4 argument gives
 // σ_max = σ_{⌈T/2⌉} whenever the middle node's active quilt is an
 // interior two-sided quilt. Returns ok=false when that condition
 // fails and a full sweep is required.
-func (sc *exactScorer) stationaryShortcut(ell int, eps float64) (ChainScore, bool) {
-	mid := (sc.T + 1) / 2
+//
+// It builds only what the middle node reads: marginals up to mid, and
+// influence rows on demand. Any quilt that reads row r has card ≥ r, so
+// its computed score card/(ε − infl) is ≥ r/ε (infl ≥ 0, and rounding
+// is monotone). Scoring over R rows gives σ_R ≥ σ*, the score over all
+// maxPow rows; if σ_R < (R+1)/ε, no skipped quilt can win or tie, so
+// σ_R, its quilt and influence are final. Otherwise one more round over
+// ⌈ε·σ_R⌉+1 rows is: every quilt it skips has card ≥ ⌈ε·σ_R⌉+2, hence
+// scores above σ_R ≥ σ*.
+func stationaryShortcut(tab *matrixTables, theta markov.Chain, T, maxPow, ell int, eps float64, pool sched.Pool) (ChainScore, bool) {
+	mid := (T + 1) / 2
+	sc := &exactScorer{T: T, k: theta.K(), marg: tab.marginals(theta, mid)}
+	rows := min(maxPow, max(shortcutRows, tab.ic.Len()))
+	sc.useRows(tab.ic, rows, pool)
 	sigma, quilt, infl := sc.nodeScore(mid, ell, eps)
-	if quilt.A > 0 && quilt.B > 0 && mid-quilt.A >= 1 && mid+quilt.B <= sc.T {
+	if rows < maxPow && sigma >= float64(rows+1)/eps {
+		rows = maxPow
+		if r := math.Ceil(eps*sigma) + 1; r < float64(maxPow) {
+			rows = int(r)
+		}
+		sc.useRows(tab.ic, rows, pool)
+		sigma, quilt, infl = sc.nodeScore(mid, ell, eps)
+	}
+	if quilt.A > 0 && quilt.B > 0 && mid-quilt.A >= 1 && mid+quilt.B <= T {
 		return ChainScore{Sigma: sigma, Node: mid, Quilt: quilt, Influence: infl}, true
 	}
 	return ChainScore{}, false

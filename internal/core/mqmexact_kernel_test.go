@@ -233,7 +233,7 @@ func TestLogDomainKernelWithinDocumentedBound(t *testing.T) {
 			tableMargin := 4 * u * (1 + 2*old.L)
 			inflMargin := 12 * u * (1 + 2*old.L)
 
-			sc := newExactScorer(sub.theta, sub.T, sub.theta.K(), sub.T-1, sub.allInits, sched.New(1), newPowerCacheSet())
+			sc := newExactScorer(sub.theta, sub.T, sub.theta.K(), sub.T-1, sub.allInits, sched.New(1), newMatrixTables(sub.theta.P))
 			for j := 0; j < sub.T-1; j++ {
 				for idx := range old.fwd[j] {
 					for _, pair := range []struct {

@@ -359,7 +359,9 @@ func (s *powerCacheSet) tables(p *matrix.Dense) *matrixTables {
 
 // marginals returns the node marginals of theta up to T, serving them
 // from (and extending) the per-init cached prefix when the table is
-// small enough to keep resident.
+// small enough to keep resident. A shorter request returns a prefix of
+// a longer one bit for bit, cached or not (same recurrence), so callers
+// ask only for the nodes they read.
 func (t *matrixTables) marginals(theta markov.Chain, T int) [][]float64 {
 	if T*len(theta.Init) > margCacheMaxFloats {
 		return theta.Marginals(T)
@@ -428,14 +430,16 @@ func equalExactly(a, b []float64) bool {
 // TableCacheStats reports the influence-table cache's traffic.
 // Hits/Misses count matrix-level lookups (a hit reuses or extends
 // resident tables); Matrices is the resident matrix count and Powers
-// the total influence-table rows cached across them.
+// the total influence-table rows built on demand across them.
 type TableCacheStats struct {
 	Hits, Misses int64
 	Matrices     int
 	Powers       int
 }
 
-// stats snapshots the set's counters.
+// stats snapshots the set's counters. InfluenceCache.Len is a lock-free
+// counter, so a snapshot never waits on a row build while holding the
+// set mutex (which every score's tables lookup needs).
 func (s *powerCacheSet) stats() TableCacheStats {
 	if s == nil {
 		return TableCacheStats{}

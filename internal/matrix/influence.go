@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pufferfish/internal/sched"
 )
@@ -28,23 +29,30 @@ import (
 // = NaN — and since the sweep folds with `if d > best`, NaN and −Inf
 // never win a max, exactly as the old logRatio-based kernel behaved.
 //
-// Rows live in grow-sized slabs like PowerCache powers and are built
-// incrementally: growing from T to T+1 powers computes only the new
-// row's k² entries, which is what makes scoring a chain of length T+1
-// after T nearly free. Alongside each row the cache records the flat
-// index of the row's maximum entry (diagonal excluded); the scorer uses
-// these as O(1) influence lower bounds to prune dominated quilts.
+// Rows live in grow-sized slabs like PowerCache powers and are built on
+// demand: the scorer asks for as many rows as its quilt sweep can read
+// (the stationary shortcut starts small and grows at most once), and
+// growing from n to m rows computes only rows n+1…m — which is also
+// what makes scoring a chain of length T+1 after T nearly free.
+// Alongside each row the cache records the flat index of the row's
+// maximum entry (diagonal excluded); the scorer uses these as O(1)
+// influence lower bounds to prune dominated quilts.
 //
 // Safe for concurrent use: readers take a shared lock, Grow an
-// exclusive one. Rows are immutable once published, and their content
-// is bit-for-bit independent of how growth was batched (each row
-// depends only on Pʲ, and PowerCache builds powers by the same
-// sequential recurrence regardless of batching).
+// exclusive one for the whole row build, and Len reads a counter
+// published with the rows, so it never waits on a build. Rows are
+// immutable once published, and their content is bit-for-bit
+// independent of how growth was batched (each row depends only on Pʲ,
+// and PowerCache builds powers by the same sequential recurrence
+// regardless of batching).
 type InfluenceCache struct {
 	mu             sync.RWMutex
 	pc             *PowerCache
 	fwd, bwd       [][]float64 // index j−1, each k·k, views into slabs
 	fwdArg, bwdArg []int32     // index j−1: flat argmax of the row (off-diagonal)
+	// rows is len(fwd) as of the last completed Grow, stored once the
+	// new rows are built.
+	rows atomic.Int64
 }
 
 // NewInfluenceCache returns an empty cache over pc's matrix powers.
@@ -55,11 +63,10 @@ func NewInfluenceCache(pc *PowerCache) *InfluenceCache {
 // Base returns the underlying power cache.
 func (ic *InfluenceCache) Base() *PowerCache { return ic.pc }
 
-// Len returns the number of cached power rows.
+// Len returns the number of built power rows. It takes no lock, so it
+// returns at once even while a Grow is building rows.
 func (ic *InfluenceCache) Len() int {
-	ic.mu.RLock()
-	defer ic.mu.RUnlock()
-	return len(ic.fwd)
+	return int(ic.rows.Load())
 }
 
 // Grow extends the cache to cover powers 1…n, fanning the per-power row
@@ -67,19 +74,13 @@ func (ic *InfluenceCache) Len() int {
 // underlying PowerCache is grown first, so workers only take its read
 // path.
 func (ic *InfluenceCache) Grow(n int, pool sched.Pool) {
-	if n < 1 {
-		return
-	}
-	ic.mu.RLock()
-	have := len(ic.fwd)
-	ic.mu.RUnlock()
-	if have >= n {
+	if n < 1 || ic.Len() >= n {
 		return
 	}
 	ic.pc.Grow(n)
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
-	have = len(ic.fwd)
+	have := len(ic.fwd)
 	if have >= n {
 		return
 	}
@@ -99,6 +100,7 @@ func (ic *InfluenceCache) Grow(n int, pool sched.Pool) {
 		ic.fwdArg[j-1] = fa
 		ic.bwdArg[j-1] = ba
 	})
+	ic.rows.Store(int64(n))
 }
 
 // Tables returns views of the first n cached rows (and their argmax
@@ -163,27 +165,45 @@ func buildInfluenceRow(pj *Dense, f, b []float64) (fArg, bArg int32) {
 
 // maxRatioRow computes out[x*k+x′] = max_y lg[x*k+y] − lg[x′*k+y] for
 // every ordered pair and returns the flat index of the largest
-// off-diagonal entry (first occurrence; −1-free: defaults to 0·k+1,
-// which exists because k ≥ 2 whenever the scorer runs). The inner sweep
-// is two contiguous rows, so the compiler keeps it in registers; the
-// `> best` fold skips NaN = (−Inf)−(−Inf) and lets +Inf (p>0 over q=0)
-// win, matching logRatio's conventions exactly.
+// off-diagonal entry (first in row-major order under a strict `>`;
+// defaults to 0·k+1, which exists because k ≥ 2 whenever the scorer
+// runs). One sweep over d = lg[x] − lg[x′] fills both orders: max d is
+// the (x, x′) entry and −min d the (x′, x) one, because IEEE
+// subtraction is sign-symmetric (lg[x′] − lg[x] is exactly −d). The
+// entry is written 0 − min d, not −min d: d is never −0 (no log is −0),
+// so where lg[x′] − lg[x] = +0, 0 − (+0) gives that same +0 where
+// negation would give −0. The zero conventions fold the same way in
+// both orders: p>0 over q=0 gives d = +Inf (wins the max, and
+// 0 − +Inf = −Inf for the reverse pair, where p=0), and
+// (−Inf)−(−Inf) = NaN fails both `>` and `<`, so it never wins either
+// fold — matching logRatio's conventions exactly.
 func maxRatioRow(lg, out []float64, k int) int32 {
-	rowBest := math.Inf(-1)
-	rowArg := int32(1) // flat (0, 1), the first off-diagonal pair
+	ninf, pinf := math.Inf(-1), math.Inf(1)
 	for x := 0; x < k; x++ {
 		a := lg[x*k : (x+1)*k]
-		for xp := 0; xp < k; xp++ {
+		for xp := x; xp < k; xp++ {
 			q := lg[xp*k : (xp+1)*k]
-			best := math.Inf(-1)
+			q = q[:len(a)]
+			hi, lo := ninf, pinf
 			for y, ay := range a {
-				if d := ay - q[y]; d > best {
-					best = d
+				d := ay - q[y]
+				if d > hi {
+					hi = d
+				}
+				if d < lo {
+					lo = d
 				}
 			}
-			out[x*k+xp] = best
-			if x != xp && best > rowBest {
-				rowBest = best
+			out[x*k+xp] = hi
+			out[xp*k+x] = 0 - lo
+		}
+	}
+	rowBest := ninf
+	rowArg := int32(1) // flat (0, 1), the first off-diagonal pair
+	for x := 0; x < k; x++ {
+		for xp, v := range out[x*k : (x+1)*k] {
+			if x != xp && v > rowBest {
+				rowBest = v
 				rowArg = int32(x*k + xp)
 			}
 		}

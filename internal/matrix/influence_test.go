@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"pufferfish/internal/sched"
 )
@@ -208,5 +209,102 @@ func TestInfluenceCacheConcurrentGrow(t *testing.T) {
 	wg.Wait()
 	if ic.Len() != maxN {
 		t.Errorf("Len = %d after concurrent growth to %d", ic.Len(), maxN)
+	}
+}
+
+// refMaxRatioRow is the one-entry-per-pass sweep maxRatioRow replaced:
+// each ordered pair (x, x′) gets its own pass over y, and the argmax is
+// folded in the same row-major pass.
+func refMaxRatioRow(lg, out []float64, k int) int32 {
+	rowBest := math.Inf(-1)
+	rowArg := int32(1)
+	for x := 0; x < k; x++ {
+		a := lg[x*k : (x+1)*k]
+		for xp := 0; xp < k; xp++ {
+			q := lg[xp*k : (xp+1)*k]
+			best := math.Inf(-1)
+			for y, ay := range a {
+				if d := ay - q[y]; d > best {
+					best = d
+				}
+			}
+			out[x*k+xp] = best
+			if x != xp && best > rowBest {
+				rowBest = best
+				rowArg = int32(x*k + xp)
+			}
+		}
+	}
+	return rowArg
+}
+
+// TestPairedKernelBitIdentical: filling (x, x′) and (x′, x) from one
+// sweep gives every entry bit for bit (±0, ±Inf and NaN-only folds
+// included) and the same argmax as one pass per ordered pair, on the
+// forward and transposed log tables of random matrices with zeros —
+// including all-zero columns, whose transposed rows are all −Inf.
+func TestPairedKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 30))
+	for trial := 0; trial < 120; trial++ {
+		k := 2 + rng.IntN(59)
+		m := randomStochastic(k, []float64{0, 0.3, 0.8}[trial%3], rng)
+		if trial%5 == 0 {
+			// Empty one column (its mass moves to the diagonal) so the
+			// transposed table has a row of −Inf.
+			c := rng.IntN(k)
+			for x := 0; x < k; x++ {
+				if x != c {
+					m.Set(x, x, m.At(x, x)+m.At(x, c))
+					m.Set(x, c, 0)
+				}
+			}
+		}
+		lg := NewDense(k, k)
+		lgT := NewDense(k, k)
+		for x := 0; x < k; x++ {
+			for y := 0; y < k; y++ {
+				v := math.Inf(-1)
+				if p := m.At(x, y); p > 0 {
+					v = math.Log(p)
+				}
+				lg.Set(x, y, v)
+				lgT.Set(y, x, v)
+			}
+		}
+		for _, tab := range []*Dense{lg, lgT} {
+			got := make([]float64, k*k)
+			want := make([]float64, k*k)
+			gotArg := maxRatioRow(tab.data, got, k)
+			wantArg := refMaxRatioRow(tab.data, want, k)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d k=%d entry %d: paired %v (%#x), reference %v (%#x)",
+						trial, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			if gotArg != wantArg {
+				t.Fatalf("trial %d k=%d: paired argmax %d, reference %d", trial, k, gotArg, wantArg)
+			}
+		}
+	}
+}
+
+// TestLenDuringBuild: Len answers while a Grow holds the cache's lock
+// for a row build, instead of queueing behind it.
+func TestLenDuringBuild(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	ic := NewInfluenceCache(NewPowerCache(randomStochastic(4, 0.2, rng)))
+	ic.Grow(3, sched.New(1))
+	ic.mu.Lock() // what Grow holds while it builds rows
+	defer ic.mu.Unlock()
+	got := make(chan int, 1)
+	go func() { got <- ic.Len() }()
+	select {
+	case n := <-got:
+		if n != 3 {
+			t.Fatalf("Len = %d, want 3", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Len blocked behind the cache lock")
 	}
 }

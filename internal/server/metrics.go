@@ -85,7 +85,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		"Distinct transition matrices with cached influence tables.",
 		func() float64 { return float64(s.cache.TableStats().Matrices) })
 	reg.GaugeFunc("pufferd_influence_table_rows",
-		"Cached influence-table rows across all matrices.",
+		"Influence-table rows built on demand across all matrices.",
 		func() float64 { return float64(s.cache.TableStats().Powers) })
 
 	reg.GaugeFunc("pufferd_workers_budget",

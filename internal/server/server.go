@@ -485,8 +485,8 @@ type Stats struct {
 	// layer beneath the score cache: a hit means a request reused
 	// another's warmed log-ratio tables (so growing a chain by one
 	// observation re-scores nearly for free), Matrices counts distinct
-	// transition matrices held, and Powers the total cached table rows
-	// across them.
+	// transition matrices held, and Powers the table rows built on
+	// demand across them (as many as the scored quilts could read).
 	InfluenceTables struct {
 		Hits     int64 `json:"hits"`
 		Misses   int64 `json:"misses"`
@@ -866,7 +866,9 @@ func (s *Server) checkBatchCeilings(prepared []*release.Prepared, ledgers []*acc
 // needs one, grouped by (mechanism, ε) and routed through the batched
 // multi-length scorers so identical fitted models dedupe across
 // requests. One worker grant covers the whole batch: the engine fans
-// each group across a single pool of the granted size.
+// each group across a single pool of the granted size. Groups are
+// scored in first-member order, so a batch that fails part-way leaves
+// the same cache state on every run.
 func (s *Server) scoreBatch(ctx context.Context, reqs []ReleaseRequest, prepared []*release.Prepared) ([]core.ChainScore, int, error) {
 	scores := make([]core.ChainScore, len(prepared))
 	type groupKey struct {
@@ -874,6 +876,7 @@ func (s *Server) scoreBatch(ctx context.Context, reqs []ReleaseRequest, prepared
 		eps       float64
 	}
 	groups := map[groupKey][]int{}
+	var order []groupKey // groups by first member
 	var individual []int // network-substrate members: no Class to dedupe on
 	want := 0
 	for i, p := range prepared {
@@ -884,6 +887,9 @@ func (s *Server) scoreBatch(ctx context.Context, reqs []ReleaseRequest, prepared
 			individual = append(individual, i)
 		} else {
 			key := groupKey{mechanism: p.Mechanism(), eps: p.Epsilon()}
+			if _, ok := groups[key]; !ok {
+				order = append(order, key)
+			}
 			groups[key] = append(groups[key], i)
 		}
 		switch ask := reqs[i].Parallelism; {
@@ -914,7 +920,8 @@ func (s *Server) scoreBatch(ctx context.Context, reqs []ReleaseRequest, prepared
 	// grouped engine passes dedupe across requests, so per-member
 	// attribution would be fiction.
 	_, ssp := obs.StartSpan(ctx, "score")
-	for key, members := range groups {
+	for _, key := range order {
+		members := groups[key]
 		specs := make([]core.MultiSpec, len(members))
 		for j, i := range members {
 			specs[j] = core.MultiSpec{Class: prepared[i].Class(), Lengths: prepared[i].Lengths()}

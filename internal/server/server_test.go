@@ -504,3 +504,39 @@ func ExampleServer() {
 	fmt.Printf("mechanism=%s k=%d sessions=%d σ=%g\n", rep.Mechanism, rep.K, rep.Sessions, rep.Sigma)
 	// Output: mechanism=mqm-exact k=2 sessions=1 σ=8
 }
+
+// TestFailedBatchLeavesOneCacheState: a batch whose first scoring group
+// fails (mqm-approx on a periodic series has no spectral gap) ends the
+// same way on every fresh server — one error text, one set of cache
+// counters — because score groups run in first-member order, so the
+// later mqm-exact group is never scored.
+func TestFailedBatchLeavesOneCacheState(t *testing.T) {
+	batch := BatchRequest{Requests: []ReleaseRequest{
+		{Series: "0 1 0 1 0 1 0 1", Epsilon: 1, Mechanism: release.MechMQMApprox, Seed: 1},
+		{Series: "0 1 1 0 1 0 0 1 1 1 0 1", Epsilon: 1, Mechanism: release.MechMQMExact, Smoothing: 0.5, Seed: 2},
+	}}
+	type outcome struct {
+		status int
+		body   string
+		cache  any
+	}
+	var first outcome
+	for run := 0; run < 20; run++ {
+		s := New(Config{})
+		ts := httptest.NewServer(s.Handler())
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/release/batch", batch)
+		st := getStats(t, ts.Client(), ts.URL)
+		ts.Close()
+		got := outcome{resp.StatusCode, string(body), [2]any{st.Cache, st.InfluenceTables}}
+		if got.status == http.StatusOK {
+			t.Fatalf("run %d: batch succeeded: %s", run, body)
+		}
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got != first {
+			t.Fatalf("run %d ended differently:\n got  %+v\n first %+v", run, got, first)
+		}
+	}
+}

@@ -154,8 +154,8 @@ type CacheStats = core.CacheStats
 
 // TableCacheStats reports the per-transition-matrix influence-table
 // layer beneath a ScoreCache: hits/misses of the shared table lookup,
-// the number of distinct matrices held, and the total cached power
-// rows across them. Read it with (*ScoreCache).TableStats.
+// the number of distinct matrices held, and the power rows built on
+// demand across them. Read it with (*ScoreCache).TableStats.
 type TableCacheStats = core.TableCacheStats
 
 // NewScoreCache returns an empty score cache.
