@@ -1,11 +1,7 @@
-// Package eigen provides the two eigenvalue computations the paper
-// needs and the standard library lacks:
-//
-//   - a cyclic Jacobi eigensolver for symmetric matrices, used to
-//     compute the eigengap g_Θ of P·P* (eq 7) and of reversible P
-//     (eq 14) after similarity-symmetrization, and
-//   - a power-iteration spectral norm, used for the GK16 baseline's
-//     applicability condition ‖Γ‖₂ < 1.
+// Package eigen provides the eigenvalue computation the paper needs
+// and the standard library lacks: a cyclic Jacobi eigensolver for
+// symmetric matrices, used to compute the eigengap g_Θ of P·P* (eq 7)
+// and of reversible P (eq 14) after similarity-symmetrization.
 //
 // State spaces in this reproduction are at most ~51, so the O(k³)
 // Jacobi sweeps are more than fast enough and numerically robust.
@@ -101,68 +97,6 @@ func offDiagNorm(w *matrix.Dense) float64 {
 		}
 	}
 	return math.Sqrt(s)
-}
-
-// SpectralNorm returns ‖a‖₂, the largest singular value, via power
-// iteration on aᵀa. The iteration starts from a deterministic dense
-// vector so results are reproducible; convergence is declared when the
-// Rayleigh quotient stabilizes to 12 digits.
-func SpectralNorm(a *matrix.Dense) (float64, error) {
-	r, c := a.Dims()
-	if r == 0 || c == 0 {
-		return 0, fmt.Errorf("eigen: empty matrix")
-	}
-	// x ← deterministic pseudo-random start (varying signs avoids
-	// starting orthogonal to the top singular vector for structured
-	// matrices such as tridiagonal Toeplitz).
-	x := make([]float64, c)
-	for i := range x {
-		x[i] = 1 + 0.37*math.Sin(float64(3*i+1))
-	}
-	normalizeVec(x)
-	at := a.T()
-	prev := 0.0
-	const maxIter = 10000
-	for iter := 0; iter < maxIter; iter++ {
-		// y = aᵀ(a x)
-		y := at.MulVec(a.MulVec(x))
-		lambda := math.Sqrt(math.Abs(dot(x, y)))
-		n := normalizeVec(y)
-		//privlint:allow floatcompare exact-zero norm only for the all-zero vector
-		if n == 0 {
-			return 0, nil // a x = 0 for all iterates: zero matrix
-		}
-		x = y
-		if iter > 3 && math.Abs(lambda-prev) <= 1e-12*math.Max(1, lambda) {
-			return lambda, nil
-		}
-		prev = lambda
-	}
-	return prev, ErrNoConvergence
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func normalizeVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	n := math.Sqrt(s)
-	//privlint:allow floatcompare exact-zero norm only for the all-zero vector
-	if n == 0 {
-		return 0
-	}
-	for i := range x {
-		x[i] /= n
-	}
-	return n
 }
 
 // SecondLargestAbs returns max{|λ| : λ eigenvalue of a, |λ| < 1−tol}

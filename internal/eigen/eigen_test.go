@@ -1,7 +1,6 @@
 package eigen
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -72,77 +71,6 @@ func TestSymmetricEigenInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpectralNormKnown(t *testing.T) {
-	// Diagonal matrix: spectral norm is max |entry|.
-	a := matrix.FromRows([][]float64{{3, 0}, {0, -7}})
-	got, err := SpectralNorm(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !floats.Eq(got, 7, 1e-9) {
-		t.Errorf("SpectralNorm = %v, want 7", got)
-	}
-}
-
-func TestSpectralNormVsJacobi(t *testing.T) {
-	// For symmetric a, ‖a‖₂ = max |eigenvalue|.
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 13))
-		n := 2 + r.IntN(5)
-		a := matrix.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := r.Float64()*2 - 1
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-		}
-		vals, err := SymmetricEigen(a)
-		if err != nil {
-			return false
-		}
-		want := math.Max(math.Abs(vals[0]), math.Abs(vals[len(vals)-1]))
-		got, err := SpectralNorm(a)
-		if err != nil {
-			return false
-		}
-		return floats.Eq(got, want, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSpectralNormZeroMatrix(t *testing.T) {
-	a := matrix.NewDense(3, 3)
-	got, err := SpectralNorm(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("SpectralNorm(0) = %v", got)
-	}
-}
-
-func TestSpectralNormTridiagonalToeplitz(t *testing.T) {
-	// Symmetric tridiagonal Toeplitz with off-diagonal c has spectral
-	// norm 2c·cos(π/(n+1)).
-	n, c := 40, 0.3
-	a := matrix.NewDense(n, n)
-	for i := 0; i < n-1; i++ {
-		a.Set(i, i+1, c)
-		a.Set(i+1, i, c)
-	}
-	want := 2 * c * math.Cos(math.Pi/float64(n+1))
-	got, err := SpectralNorm(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !floats.Eq(got, want, 1e-8) {
-		t.Errorf("SpectralNorm = %v, want %v", got, want)
 	}
 }
 

@@ -414,19 +414,20 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // ReleaseRequest is the JSON body of POST /v1/release (and one element
-// of a batch). Exactly one of Sessions and Series must be set; Series
-// is the privrelease input format (whitespace/comma-separated states,
-// blank line = new session). The remaining fields mirror
+// of a batch). Exactly one of Sessions and Series must be set; Sessions
+// holds arrays of integer states and refuses null (see Sessions), and
+// Series is the privrelease input format (whitespace/comma-separated
+// states, blank line = new session). The remaining fields mirror
 // release.Config; the shared cache is always used, and Parallelism is
 // the request's worker ask, granted subject to the global budget (the
 // released values are identical at every grant).
 type ReleaseRequest struct {
-	Sessions  [][]int `json:"sessions,omitempty"`
-	Series    string  `json:"series,omitempty"`
-	Epsilon   float64 `json:"epsilon"`
-	Delta     float64 `json:"delta,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Mechanism string  `json:"mechanism"`
+	Sessions  Sessions `json:"sessions,omitempty"`
+	Series    string   `json:"series,omitempty"`
+	Epsilon   float64  `json:"epsilon"`
+	Delta     float64  `json:"delta,omitempty"`
+	K         int      `json:"k,omitempty"`
+	Mechanism string   `json:"mechanism"`
 	// Noise selects the additive backend for the kantorovich
 	// mechanism: "laplace" (default) or "gaussian" (requires delta).
 	Noise string `json:"noise,omitempty"`

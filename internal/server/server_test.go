@@ -264,6 +264,11 @@ func TestBadRequests(t *testing.T) {
 		"all empty":        `{"epsilon": 1, "mechanism": "dp", "sessions": [[]]}`,
 		"subnormal eps":    `{"epsilon": 5e-324, "mechanism": "mqm-exact", "smoothing": 0.5, "sessions": [[0,1,0,1]]}`,
 		"trailing data":    `{"epsilon": 1, "mechanism": "dp", "series": "0 1"}{"epsilon": 99}`,
+		// A null used to be released as state 0, or, in a duplicate
+		// key, to keep the earlier key's value.
+		"null element":   `{"sessions": [[0,1,0,null,1,1,0,1]], "epsilon": 1, "mechanism": "dp", "seed": 1}`,
+		"null duplicate": `{"sessions": [[0,1,0,0,1,1,0,1]], "sessions": [[0,1,0,null,1,1,0,1]], "epsilon": 1, "mechanism": "dp", "seed": 1}`,
+		"null session":   `{"sessions": [[0,1,0,1], null], "epsilon": 1, "mechanism": "dp", "seed": 1}`,
 	}
 	for name, body := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/release", "application/json", strings.NewReader(body))
